@@ -26,8 +26,6 @@
  *   --cores N             largest core count of the multicore scaling
  *                         sweep (power-of-two counts up to N, plus N
  *                         itself when it is not a power of two)
- *   --workload NAME       multicore workload shape ("server": the
- *                         Zipf-popularity server mix)
  *   --fast-functional     retire ops functionally (no pipeline model);
  *                         detection is identical, cycles are nominal
  *   --sample-warmup N     detailed warmup ops per sampling period
@@ -69,14 +67,11 @@
  *   --fault-inject SPEC   deterministic fault injection (see
  *                         REST_SWEEP_FAULT above)
  *
- * Live telemetry (DESIGN.md §12; both off by default, and the default
- * run's output stays byte-identical when they are off):
- *   --serve PORT          embedded HTTP server with /metrics
- *                         (Prometheus text), /status (JSON) and
- *                         /healthz (0 = pick an ephemeral port; the
- *                         bound port is announced on stderr)
- *   --event-log FILE      append one JSON object per sweep lifecycle
- *                         event (JSONL, monotonic "seq" numbers)
+ * Sweep event log (DESIGN.md §12; off by default, and the default
+ * run's output stays byte-identical when it is off):
+ *   --event-log FILE      write one JSON object per sweep lifecycle
+ *                         event (JSONL; "seq" runs 0, 1, 2, ... across
+ *                         every sweep of the invocation)
  *
  * runMatrix() is the shared sweep driver: it expands a benchmark ×
  * column matrix (× seeds) into sim::SweepJobs, runs them on a
@@ -112,9 +107,6 @@
 #include "sim/results.hh"
 #include "sim/sweep.hh"
 #include "sim/sweep_events.hh"
-#include "sim/sweep_status.hh"
-#include "util/http_server.hh"
-#include "util/metrics.hh"
 #include "util/trace.hh"
 #include "workload/spec_profiles.hh"
 
@@ -192,38 +184,16 @@ defaultRetries()
 }
 
 // ---------------------------------------------------------------------
-// The harness-level telemetry hub (DESIGN.md §12)
+// The harness-level sweep event log (DESIGN.md §12)
 // ---------------------------------------------------------------------
 
-/**
- * Everything --serve / --event-log stand up, owned process-globally so
- * every sweep a harness runs publishes into the same registry and bus.
- * Declaration order is destruction order in reverse: the server (which
- * reads registry and tracker from its accept thread) and the event log
- * tear down before the things they observe.
- */
-struct TelemetryHub
+/** Owns the process-global --event-log sink, so every sweep a harness
+ *  runs appends to one file; empty until openGlobalEventLog(). */
+inline std::unique_ptr<sim::SweepEventLog> &
+globalEventLogStorage()
 {
-    telemetry::MetricRegistry registry;
-    sim::SweepEventBus bus;
-    sim::SweepStatusTracker tracker{&registry};
-    std::unique_ptr<sim::SweepEventLog> eventLog;
-    std::unique_ptr<telemetry::HttpServer> server;
-};
-
-/** Owns the global hub; empty until installGlobalTelemetry(). */
-inline std::unique_ptr<TelemetryHub> &
-globalTelemetryStorage()
-{
-    static std::unique_ptr<TelemetryHub> storage;
+    static std::unique_ptr<sim::SweepEventLog> storage;
     return storage;
-}
-
-/** The installed hub, or nullptr when telemetry is off. */
-inline TelemetryHub *
-globalTelemetry()
-{
-    return globalTelemetryStorage().get();
 }
 
 // ---------------------------------------------------------------------
@@ -245,9 +215,6 @@ struct Options
      *  (multicore_scaling runs power-of-two counts up to this, plus
      *  N itself when it is not a power of two). */
     unsigned cores = 8;
-    /** --workload: multicore workload shape; "server" (the Zipf
-     *  server mix) is the only registered shape. */
-    std::string workload = "server";
     /** --perf: run the harness's simulator-throughput probe (where
      *  supported) and record the "perf" block in the results JSON. */
     bool perfProbe = false;
@@ -263,9 +230,6 @@ struct Options
     std::string resumeStem;        ///< --resume ("" = off)
     std::string faultSpec;         ///< --fault-inject ("" = env)
 
-    // Live telemetry (DESIGN.md §12; both off by default).
-    bool serve = false;            ///< --serve given
-    std::uint16_t servePort = 0;   ///< 0 = ephemeral
     std::string eventLogPath;      ///< --event-log ("" = off)
 
     /**
@@ -290,12 +254,9 @@ struct Options
         else
             s.fault = sim::SweepFaultInjector::fromEnv();
         s.sweepName = sweep_name;
-        // With no hub installed both stay nullptr and the runner's
-        // behaviour (and output) is bit-for-bit the pre-telemetry one.
-        if (TelemetryHub *hub = globalTelemetry()) {
-            s.events = &hub->bus;
-            s.registry = &hub->registry;
-        }
+        // nullptr unless --event-log opened a file; the runner's
+        // results are the same either way.
+        s.eventLog = globalEventLogStorage().get();
         return s;
     }
 
@@ -336,7 +297,7 @@ usage(const std::string &figure, int status)
         << "[--job-timeout-ms N]\n"
         << "         [--checkpoint STEM] [--resume STEM] "
         << "[--fault-inject SPEC]\n"
-        << "         [--serve PORT] [--event-log FILE]\n"
+        << "         [--event-log FILE]\n"
         << "         [--debug-flags CSV] [--debug-start T] "
         << "[--debug-end T]\n"
         << "         [--trace-out PATH] [--pipeview-out PATH] "
@@ -379,10 +340,6 @@ usage(const std::string &figure, int status)
         << "                     fail-always:IDX, fail-hard:IDX, "
         << "slow:IDX:MS\n"
         << "                     (REST_SWEEP_FAULT is the fallback)\n"
-        << "  --serve PORT       expose /metrics, /status and /healthz "
-        << "over HTTP\n"
-        << "                     (0 = pick an ephemeral port, "
-        << "announced on stderr)\n"
         << "  --event-log FILE   write sweep lifecycle events as JSON "
         << "lines\n"
         << "  --debug-flags CSV  enable debug flags (O3Pipe, Cache, "
@@ -405,8 +362,6 @@ usage(const std::string &figure, int status)
         << "                     (power-of-two counts up to N, plus N "
         << "itself;\n"
         << "                     default 8)\n"
-        << "  --workload NAME    multicore workload shape (server, "
-        << "the default)\n"
         << "  --dump-program B[:S]  print benchmark B instrumented "
         << "for scheme S\n"
         << "                     (none, or a registered scheme: "
@@ -575,13 +530,6 @@ parseOptions(int argc, char **argv, const std::string &figure)
             opt.schemes = strArg(i, a);
         } else if (a == "--cores") {
             opt.cores = unsigned(u64Arg(i, a, 1, 64));
-        } else if (a == "--workload") {
-            opt.workload = strArg(i, a);
-            if (opt.workload != "server") {
-                std::cerr << figure << ": unknown --workload \""
-                          << opt.workload << "\" (want server)\n";
-                usage(figure, 1);
-            }
         } else if (a == "--perf") {
             opt.perfProbe = true;
         } else if (a == "--fast-functional") {
@@ -612,9 +560,6 @@ parseOptions(int argc, char **argv, const std::string &figure)
                           << opt.faultSpec << "\"\n";
                 usage(figure, 1);
             }
-        } else if (a == "--serve") {
-            opt.serve = true;
-            opt.servePort = std::uint16_t(u64Arg(i, a, 0, 65535));
         } else if (a == "--event-log") {
             opt.eventLogPath = strArg(i, a);
         } else if (a == "--debug-flags") {
@@ -708,68 +653,19 @@ installGlobalTrace(const Options &opt)
 }
 
 /**
- * Stand up the process-global telemetry hub from the parsed options:
- * the status tracker (always, feeding /status and the registry), the
- * --event-log JSONL sink, and the --serve HTTP endpoints. Returns
- * nullptr — and installs nothing — when both knobs are off, keeping
- * the default run byte-identical. Call once, before the first sweep.
+ * Open the --event-log file as the process-global sweep event log.
+ * Opens nothing when the flag is off or the file cannot be created (a
+ * warning says so), keeping the default run byte-identical. Call once,
+ * before the first sweep.
  */
-inline TelemetryHub *
-installGlobalTelemetry(const Options &opt)
+inline void
+openGlobalEventLog(const Options &opt)
 {
-    if (!opt.serve && opt.eventLogPath.empty())
-        return nullptr;
-    auto &storage = globalTelemetryStorage();
-    rest_assert(!storage, "telemetry hub installed twice");
-    storage = std::make_unique<TelemetryHub>();
-    TelemetryHub *hub = storage.get();
-
-    hub->bus.subscribe([hub](const sim::SweepEvent &e) {
-        hub->tracker.onEvent(e);
-    });
-    if (!opt.eventLogPath.empty()) {
-        hub->eventLog =
-            std::make_unique<sim::SweepEventLog>(opt.eventLogPath);
-        if (hub->eventLog->ok()) {
-            hub->bus.subscribe([hub](const sim::SweepEvent &e) {
-                hub->eventLog->append(e);
-            });
-        } else {
-            hub->eventLog.reset();
-        }
-    }
-    if (opt.serve) {
-        hub->server = std::make_unique<telemetry::HttpServer>();
-        hub->server->route(
-            "/metrics", [hub](const telemetry::HttpRequest &) {
-                telemetry::HttpResponse r;
-                r.contentType =
-                    "text/plain; version=0.0.4; charset=utf-8";
-                r.body = hub->registry.prometheusText();
-                return r;
-            });
-        hub->server->route(
-            "/status", [hub](const telemetry::HttpRequest &) {
-                telemetry::HttpResponse r;
-                r.contentType = "application/json";
-                r.body = hub->tracker.statusJson();
-                return r;
-            });
-        hub->server->route(
-            "/healthz", [](const telemetry::HttpRequest &) {
-                telemetry::HttpResponse r;
-                r.body = "ok\n";
-                return r;
-            });
-        if (hub->server->start(opt.servePort)) {
-            // stderr, like warn(): stdout stays the harness's table.
-            std::cerr << "telemetry: serving /metrics /status /healthz "
-                      << "on port " << hub->server->port() << "\n";
-        } else {
-            hub->server.reset();
-        }
-    }
-    return hub;
+    if (opt.eventLogPath.empty())
+        return;
+    auto log = std::make_unique<sim::SweepEventLog>(opt.eventLogPath);
+    if (log->ok())
+        globalEventLogStorage() = std::move(log);
 }
 
 // ---------------------------------------------------------------------

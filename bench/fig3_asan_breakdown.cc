@@ -40,7 +40,7 @@ main(int argc, char **argv)
 {
     auto opt = bench::parseOptions(argc, argv, "fig3");
     bench::installGlobalTrace(opt);
-    bench::installGlobalTelemetry(opt);
+    bench::openGlobalEventLog(opt);
 
     std::cout
         << "=====================================================\n"

@@ -206,7 +206,7 @@ main(int argc, char **argv)
 {
     auto opt = bench::parseOptions(argc, argv, "multicore");
     bench::installGlobalTrace(opt);
-    bench::installGlobalTelemetry(opt);
+    bench::openGlobalEventLog(opt);
     if (opt.exec.sampling.active()) {
         std::cerr << "multicore: sampled execution is not supported "
                   << "on the multicore machine\n";
@@ -218,7 +218,7 @@ main(int argc, char **argv)
     const workload::ServerMixConfig shape = mixConfig(opt.cores);
 
     std::cout << "====================================================\n"
-              << "Multicore scaling: " << opt.workload << " mix, "
+              << "Multicore scaling: server mix, "
               << shape.requestsPerCore << " requests/core, Zipf("
               << shape.hotObjects << ", " << shape.zipfTheta << ")\n"
               << "MESI bus + shared L2/DRAM; detection per private L1\n"

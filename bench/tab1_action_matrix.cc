@@ -289,7 +289,7 @@ main(int argc, char **argv)
 {
     auto opt = bench::parseOptions(argc, argv, "tab1");
     bench::installGlobalTrace(opt);
-    bench::installGlobalTelemetry(opt);
+    bench::openGlobalEventLog(opt);
 
     std::cout << "=================================================\n"
               << "Table I: REST action matrix, observed vs spec\n"

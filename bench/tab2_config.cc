@@ -98,7 +98,7 @@ main(int argc, char **argv)
 {
     auto opt = bench::parseOptions(argc, argv, "tab2");
     bench::installGlobalTrace(opt);
-    bench::installGlobalTelemetry(opt);
+    bench::openGlobalEventLog(opt);
 
     cpu::CpuConfig core;
     mem::DramConfig dram;

@@ -270,7 +270,7 @@ main(int argc, char **argv)
 {
     auto opt = bench::parseOptions(argc, argv, "tab3");
     bench::installGlobalTrace(opt);
-    bench::installGlobalTelemetry(opt);
+    bench::openGlobalEventLog(opt);
 
     std::cout << "====================================================\n"
               << "Table III: hardware technique comparison\n"

@@ -11,7 +11,6 @@
 #include "sim/checkpoint.hh"
 #include "sim/sweep_events.hh"
 #include "util/logging.hh"
-#include "util/metrics.hh"
 #include "util/thread_pool.hh"
 #include "util/trace.hh"
 
@@ -31,7 +30,7 @@ elapsedMs(Clock::time_point since)
         .count();
 }
 
-/** The column label telemetry reports for a job (matches what the
+/** The column label the event log reports for a job (matches what the
  *  Measurement will carry). */
 std::string
 eventLabel(const SweepJob &job)
@@ -42,7 +41,7 @@ eventLabel(const SweepJob &job)
                                : expConfigName(job.config);
 }
 
-/** Start a lifecycle event for one job (seq is assigned on publish). */
+/** Start a lifecycle event for one job (the log assigns seq). */
 SweepEvent
 jobEvent(const SweepOptions &options, SweepEventKind kind,
          const SweepJob &job, std::size_t index)
@@ -345,48 +344,6 @@ SweepFaultInjector::inject(std::size_t job_index,
 // SweepRunner
 // ---------------------------------------------------------------------
 
-namespace
-{
-
-/**
- * Export the check-optimizer effectiveness of one finished job as
- * live rest_instr_checks_* counters, so /metrics shows what the
- * elision/hoisting/coalescing passes are achieving mid-sweep.
- */
-void
-publishInstrMetrics(const SweepOptions &options, const Measurement &m)
-{
-    if (!options.registry)
-        return;
-    static constexpr struct
-    {
-        const char *scalar;
-        const char *metric;
-        const char *help;
-    } kInstrCounters[] = {
-        {"instr.access_checks_inserted", "rest_instr_checks_emitted",
-         "Shadow-check groups emitted by instrumentation"},
-        {"instr.access_checks_elided", "rest_instr_checks_elided",
-         "Shadow-check groups deleted as redundant"},
-        {"instr.access_checks_hoisted", "rest_instr_checks_hoisted",
-         "Shadow-check groups hoisted into loop preheaders"},
-        {"instr.access_checks_coalesced",
-         "rest_instr_checks_coalesced",
-         "Shadow-check groups folded into a widened neighbour"},
-    };
-    for (const auto &entry : kInstrCounters) {
-        auto it = m.scalars.find(entry.scalar);
-        if (it == m.scalars.end())
-            continue;
-        options.registry
-            ->counter(entry.metric, entry.help,
-                      {{"sweep", options.sweepName}})
-            .inc(it->second);
-    }
-}
-
-} // namespace
-
 SweepRunner::SweepRunner(unsigned num_threads, SweepOptions options)
     : num_threads_(std::max(1u, num_threads)),
       options_(std::move(options))
@@ -401,11 +358,11 @@ SweepRunner::executeJob(const SweepJob &job, std::size_t index,
     for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
         r.attempts = attempt;
         r.starts = prior_starts + attempt;
-        if (options_.events) {
+        if (options_.eventLog) {
             SweepEvent e = jobEvent(options_, SweepEventKind::Running,
                                     job, index);
             e.attempt = attempt;
-            options_.events->publish(std::move(e));
+            options_.eventLog->append(std::move(e));
         }
         const auto t0 = Clock::now();
         bool transient = false;
@@ -423,14 +380,13 @@ SweepRunner::executeJob(const SweepJob &job, std::size_t index,
                 r.timedOut = false;
                 r.error.clear();
                 r.measurement = std::move(m);
-                publishInstrMetrics(options_, r.measurement);
-                if (options_.events) {
+                if (options_.eventLog) {
                     SweepEvent e = jobEvent(
                         options_, SweepEventKind::Done, job, index);
                     e.attempt = attempt;
                     e.wallMs = r.wallMs;
                     e.ops = r.measurement.ops;
-                    options_.events->publish(std::move(e));
+                    options_.eventLog->append(std::move(e));
                 }
                 return r;
             }
@@ -461,7 +417,7 @@ SweepRunner::executeJob(const SweepJob &job, std::size_t index,
                   ") attempt ", attempt, "/", max_attempts,
                   " failed: ", r.error);
         const bool terminal = !transient || attempt == max_attempts;
-        if (options_.events) {
+        if (options_.eventLog) {
             SweepEvent e = jobEvent(options_,
                                     terminal ? SweepEventKind::Failed
                                              : SweepEventKind::Retrying,
@@ -470,7 +426,7 @@ SweepRunner::executeJob(const SweepJob &job, std::size_t index,
             e.wallMs = r.wallMs;
             e.timedOut = r.timedOut;
             e.error = r.error;
-            options_.events->publish(std::move(e));
+            options_.eventLog->append(std::move(e));
         }
         if (terminal)
             return r;
@@ -491,15 +447,15 @@ SweepRunner::run(const std::vector<SweepJob> &jobs) const
     std::vector<unsigned> prior_starts(jobs.size(), 0);
     CheckpointWriter writer(options_.checkpointPath, jobs.size());
 
-    if (options_.events) {
+    if (options_.eventLog) {
         SweepEvent begin;
         begin.kind = SweepEventKind::SweepBegin;
         begin.sweep = options_.sweepName;
         begin.totalJobs = jobs.size();
         begin.threads = num_threads_;
-        options_.events->publish(std::move(begin));
+        options_.eventLog->append(std::move(begin));
         for (std::size_t i = 0; i < jobs.size(); ++i)
-            options_.events->publish(
+            options_.eventLog->append(
                 jobEvent(options_, SweepEventKind::Queued, jobs[i], i));
     }
 
@@ -528,7 +484,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs) const
                 r.measurement = entry.measurement;
                 writer.record(index, jobs[index], r, /*flush=*/false);
                 ++restored;
-                if (options_.events) {
+                if (options_.eventLog) {
                     SweepEvent e = jobEvent(
                         options_, SweepEventKind::Done, jobs[index],
                         index);
@@ -536,7 +492,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs) const
                     e.wallMs = r.wallMs;
                     e.ops = r.measurement.ops;
                     e.fromCheckpoint = true;
-                    options_.events->publish(std::move(e));
+                    options_.eventLog->append(std::move(e));
                 }
             }
             rest_inform("resumed ", restored, " of ", jobs.size(),
@@ -563,8 +519,6 @@ SweepRunner::run(const std::vector<SweepJob> &jobs) const
     } else {
         util::ThreadPool pool(
             std::min<std::size_t>(num_threads_, todo.size()));
-        if (options_.registry)
-            pool.publishMetrics(*options_.registry, "sweep");
         for (std::size_t i : todo)
             pool.submit([&exec, i] { exec(i); });
         pool.wait();

@@ -45,15 +45,10 @@
 
 #include "sim/experiment.hh"
 
-namespace rest::telemetry
-{
-class MetricRegistry;
-} // namespace rest::telemetry
-
 namespace rest::sim
 {
 
-class SweepEventBus;
+class SweepEventLog;
 
 /** One cell of a sweep: a benchmark run under one configuration. */
 struct SweepJob
@@ -153,16 +148,12 @@ struct SweepOptions
     std::string resumePath;
     SweepFaultInjector fault;
 
-    // --- telemetry (DESIGN.md §12; all off by default) ---------------
-    /** Sweep display name carried on every published event. */
+    // --- event log (DESIGN.md §12; off by default) --------------------
+    /** Sweep display name carried on every logged event. */
     std::string sweepName;
-    /** Lifecycle event bus (nullptr = no events; the runner's output
+    /** Lifecycle event log (nullptr = no events; the runner's output
      *  and results are byte-identical either way). */
-    SweepEventBus *events = nullptr;
-    /** When set alongside a thread pool, the pool's queue-depth and
-     *  active-worker gauges are published here for the sweep's
-     *  duration. */
-    telemetry::MetricRegistry *registry = nullptr;
+    SweepEventLog *eventLog = nullptr;
 };
 
 /** The per-job outcome of a fault-tolerant sweep. */

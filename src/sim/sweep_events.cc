@@ -105,11 +105,12 @@ SweepEventLog::SweepEventLog(const std::string &path) : os_(path)
 }
 
 void
-SweepEventLog::append(const SweepEvent &event)
+SweepEventLog::append(SweepEvent event)
 {
     if (!os_.is_open())
         return;
     std::lock_guard lock(mutex_);
+    event.seq = next_seq_++;
     event.writeJsonLine(os_);
     os_.flush();
 }

@@ -1,8 +1,10 @@
 /**
  * @file
- * Per-job lifecycle events for sweep telemetry (DESIGN.md §12).
+ * Per-job lifecycle events and the sweep event log (DESIGN.md §12).
  *
- * The SweepRunner publishes one SweepEvent per lifecycle transition:
+ * The SweepRunner appends one SweepEvent per lifecycle transition to
+ * its SweepEventLog (SweepOptions::eventLog, the harnesses' --event-log
+ * FILE):
  *
  *   sweep-begin            once per run(), carrying total_jobs/threads
  *   queued                 every job, in submission order
@@ -12,17 +14,14 @@
  *                          from_checkpoint marks restored jobs)
  *   failed                 terminal failure (error, timed_out)
  *
- * Events flow through a SweepEventBus: publish() assigns monotonic
- * sequence numbers and fans out to the subscribed listeners *under the
- * bus lock*, so every listener observes the same total order and
- * sequence numbers appear in order in every sink. Two listeners ship
- * with the runner: SweepStatusTracker (sim/sweep_status.hh, feeds the
- * /status and /metrics endpoints) and SweepEventLog (--event-log, a
- * JSONL file with one event per line).
+ * The log is a JSONL file, one event per line. append() assigns the
+ * sequence number under the log's mutex, so `seq` runs 0, 1, 2, ... in
+ * file order across every sweep written into one log (a harness such
+ * as ablation runs several). Each line is flushed as it is written.
  *
  * The JSONL schema is stable and replayable: every field is emitted on
  * every line in a fixed order, and fromJson()/writeJsonLine() round-
- * trip byte-exactly (tests/sim/telemetry_test.cc enforces this), so
+ * trip byte-exactly (tests/sim/sweep_events_test.cc enforces this), so
  * downstream tooling can parse, transform and re-emit logs without
  * drift.
  */
@@ -32,12 +31,10 @@
 
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <ostream>
 #include <string>
-#include <vector>
 
 namespace rest::util
 {
@@ -66,7 +63,7 @@ sweepEventFromName(const std::string &name);
 
 struct SweepEvent
 {
-    /** Monotonic per-bus sequence number (assigned by publish()). */
+    /** Position in its log, from 0 (assigned by SweepEventLog). */
     std::uint64_t seq = 0;
     SweepEventKind kind = SweepEventKind::Queued;
     /** Sweep display name (SweepOptions::sweepName). */
@@ -84,7 +81,7 @@ struct SweepEvent
     bool timedOut = false;
     /** Final attempt's wall time (done/failed). */
     double wallMs = 0.0;
-    /** Simulated ops of a done job (drives live-KIPS derivation). */
+    /** Simulated ops of a done job. */
     std::uint64_t ops = 0;
     /** Empty unless retrying/failed. */
     std::string error;
@@ -98,47 +95,10 @@ struct SweepEvent
 };
 
 /**
- * Fan-out bus. subscribe() is not thread-safe against publish(): wire
- * up all listeners before handing the bus to a SweepRunner.
- */
-class SweepEventBus
-{
-  public:
-    using Listener = std::function<void(const SweepEvent &)>;
-
-    void subscribe(Listener listener)
-    { listeners_.push_back(std::move(listener)); }
-
-    /**
-     * Assign the next sequence number and deliver to every listener.
-     * Serialised: listeners see a total order consistent with seq.
-     * Listeners must not publish re-entrantly.
-     */
-    void
-    publish(SweepEvent event)
-    {
-        std::lock_guard lock(mutex_);
-        event.seq = next_seq_++;
-        for (const auto &listener : listeners_)
-            listener(event);
-    }
-
-    std::uint64_t
-    eventCount() const
-    {
-        std::lock_guard lock(mutex_);
-        return next_seq_;
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    std::uint64_t next_seq_ = 0;
-    std::vector<Listener> listeners_;
-};
-
-/**
  * The --event-log sink: one JSONL line per event, flushed per line so
- * a killed sweep's log is complete up to the last event delivered.
+ * a killed sweep's log is complete up to the last event appended.
+ * Thread-safe; several runners (one after another or concurrently)
+ * may share one log.
  */
 class SweepEventLog
 {
@@ -148,11 +108,13 @@ class SweepEventLog
 
     bool ok() const { return os_.is_open(); }
 
-    void append(const SweepEvent &event);
+    /** Assign the next sequence number and write the event. */
+    void append(SweepEvent event);
 
   private:
     std::ofstream os_;
     std::mutex mutex_;
+    std::uint64_t next_seq_ = 0;
 };
 
 } // namespace rest::sim

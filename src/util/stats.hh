@@ -107,65 +107,6 @@ class Distribution
     const std::vector<std::uint64_t> &buckets() const { return buckets_; }
     const std::vector<std::uint64_t> &edges() const { return edges_; }
 
-    /**
-     * The p-th percentile (p in [0, 100]) as a bucket-resolution
-     * estimate: the inclusive upper edge of the bucket holding the
-     * ceil(p/100 * count)-th smallest sample, clamped to the observed
-     * [min, max] range so percentile(0) == minValue(),
-     * percentile(100) == maxValue(), and a rank landing in the
-     * overflow bucket reports maxValue() rather than infinity.
-     * An empty distribution yields 0.
-     */
-    double
-    percentile(double p) const
-    {
-        if (count_ == 0)
-            return 0.0;
-        if (p <= 0.0)
-            return double(min_);
-        if (p >= 100.0)
-            return double(max_);
-        // ceil without FP rounding surprises: rank in [1, count].
-        std::uint64_t rank = std::uint64_t((p / 100.0) * double(count_));
-        if (double(rank) < (p / 100.0) * double(count_))
-            ++rank;
-        if (rank == 0)
-            rank = 1;
-        if (rank > count_)
-            rank = count_;
-        std::uint64_t cum = 0;
-        for (std::size_t i = 0; i < buckets_.size(); ++i) {
-            cum += buckets_[i];
-            if (cum < rank)
-                continue;
-            if (i >= edges_.size())
-                return double(max_); // overflow bucket
-            double edge = double(edges_[i]);
-            if (edge > double(max_))
-                edge = double(max_);
-            if (edge < double(min_))
-                edge = double(min_);
-            return edge;
-        }
-        return double(max_); // unreachable: cum == count_ >= rank
-    }
-
-    /**
-     * Dump helper for exposition layers: (percentile, estimate) pairs
-     * for the requested percentiles (a standard telemetry set by
-     * default), in the order given.
-     */
-    std::vector<std::pair<double, double>>
-    quantiles(const std::vector<double> &ps = {50, 90, 95, 99, 100})
-        const
-    {
-        std::vector<std::pair<double, double>> out;
-        out.reserve(ps.size());
-        for (double p : ps)
-            out.emplace_back(p, percentile(p));
-        return out;
-    }
-
   private:
     std::vector<std::uint64_t> edges_;
     std::vector<std::uint64_t> buckets_;

@@ -34,12 +34,10 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "util/logging.hh"
-#include "util/metrics.hh"
 
 namespace rest::util
 {
@@ -66,13 +64,6 @@ class ThreadPool
 
     ~ThreadPool()
     {
-        // Detach telemetry first: a concurrent scrape finishing inside
-        // one of our gauge callbacks is waited out by removeCallback's
-        // lock acquisition, so no callback can observe a dead pool.
-        if (registry_) {
-            for (std::uint64_t id : gauge_ids_)
-                registry_->removeCallback(id);
-        }
         {
             std::unique_lock lock(mutex_);
             stopping_ = true;
@@ -130,56 +121,6 @@ class ThreadPool
         return failures_.size();
     }
 
-    /** Tasks submitted but not yet picked up by a worker. */
-    std::size_t
-    queueDepth() const
-    {
-        std::unique_lock lock(mutex_);
-        std::size_t depth = 0;
-        for (const auto &q : queues_)
-            depth += q.size();
-        return depth;
-    }
-
-    /** Workers currently executing a task. */
-    std::size_t
-    activeWorkers() const
-    {
-        std::unique_lock lock(mutex_);
-        return active_;
-    }
-
-    /**
-     * Publish live queue-depth / active-worker gauges to `registry`
-     * under the given pool label. Evaluated at scrape time; the
-     * registrations are removed automatically when the pool is
-     * destroyed (at most one registry per pool).
-     */
-    void
-    publishMetrics(telemetry::MetricRegistry &registry,
-                   const std::string &pool_name)
-    {
-        rest_assert(!registry_, "ThreadPool metrics already published");
-        registry_ = &registry;
-        gauge_ids_.push_back(registry.gaugeCallback(
-            "rest_pool_queue_depth",
-            "Tasks submitted but not yet running",
-            {{"pool", pool_name}}, [this] {
-                return double(queueDepth());
-            }));
-        gauge_ids_.push_back(registry.gaugeCallback(
-            "rest_pool_active_workers",
-            "Workers currently executing a task",
-            {{"pool", pool_name}}, [this] {
-                return double(activeWorkers());
-            }));
-        gauge_ids_.push_back(registry.gaugeCallback(
-            "rest_pool_threads", "Worker threads in the pool",
-            {{"pool", pool_name}}, [this] {
-                return double(numThreads());
-            }));
-    }
-
   private:
     void
     workerLoop(unsigned self)
@@ -194,7 +135,6 @@ class ThreadPool
                 if (stopping_ && !findWork(self))
                     return;
                 task = std::move(takeWork(self));
-                ++active_;
             }
             std::exception_ptr failure;
             try {
@@ -208,7 +148,6 @@ class ThreadPool
             }
             {
                 std::unique_lock lock(mutex_);
-                --active_;
                 if (failure)
                     failures_.push_back(std::move(failure));
                 if (--pending_ == 0)
@@ -259,11 +198,7 @@ class ThreadPool
     std::condition_variable done_cv_;
     std::size_t next_queue_ = 0;
     std::size_t pending_ = 0;
-    std::size_t active_ = 0;
     bool stopping_ = false;
-
-    telemetry::MetricRegistry *registry_ = nullptr;
-    std::vector<std::uint64_t> gauge_ids_;
 };
 
 } // namespace rest::util

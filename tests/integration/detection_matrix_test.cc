@@ -25,6 +25,15 @@ struct Cell
     bool detected;
 };
 
+// Without this, gtest prints a Cell as its raw bytes, pointer included,
+// and ctest names each case after that print, so the names changed with
+// every build and load address.
+void
+PrintTo(const Cell &cell, std::ostream *os)
+{
+    *os << cell.attack << " under " << sim::expConfigName(cell.config);
+}
+
 isa::Program
 buildAttack(const std::string &name)
 {

@@ -184,113 +184,6 @@ TEST(Stats, DistributionReset)
     EXPECT_EQ(d.sum(), 0u);
 }
 
-TEST(Stats, PercentileEmptyDistributionIsZero)
-{
-    Distribution d;
-    d.init({10, 100});
-    EXPECT_DOUBLE_EQ(d.percentile(50), 0.0);
-    EXPECT_DOUBLE_EQ(d.percentile(0), 0.0);
-    EXPECT_DOUBLE_EQ(d.percentile(100), 0.0);
-}
-
-TEST(Stats, PercentileSingleSample)
-{
-    Distribution d;
-    d.init({10, 100});
-    d.sample(42);
-    // Every percentile of a single observation is that observation —
-    // even though bucket resolution would otherwise say "edge 100".
-    EXPECT_DOUBLE_EQ(d.percentile(0), 42.0);
-    EXPECT_DOUBLE_EQ(d.percentile(50), 42.0);
-    EXPECT_DOUBLE_EQ(d.percentile(100), 42.0);
-}
-
-TEST(Stats, PercentileWalksBucketEdges)
-{
-    Distribution d;
-    d.init({10, 100, 1000});
-    // 10 samples: 4 in (..10], 3 in (10..100], 3 in (100..1000].
-    for (std::uint64_t v : {1u, 2u, 3u, 4u})
-        d.sample(v);
-    for (std::uint64_t v : {50u, 60u, 70u})
-        d.sample(v);
-    for (std::uint64_t v : {500u, 600u, 700u})
-        d.sample(v);
-    // rank = ceil(p/100 * 10): p40 -> rank 4 (first bucket, edge 10),
-    // p41 -> rank 5 (second bucket), p70 -> rank 7 (second bucket),
-    // p71 -> rank 8 (third bucket).
-    EXPECT_DOUBLE_EQ(d.percentile(40), 10.0);
-    EXPECT_DOUBLE_EQ(d.percentile(41), 100.0);
-    EXPECT_DOUBLE_EQ(d.percentile(70), 100.0);
-    EXPECT_DOUBLE_EQ(d.percentile(71), 700.0); // edge 1000 clamps to max
-    EXPECT_DOUBLE_EQ(d.percentile(0), 1.0);    // min
-    EXPECT_DOUBLE_EQ(d.percentile(100), 700.0); // max
-}
-
-TEST(Stats, PercentileFirstBucketClampsToMin)
-{
-    // All mass in the first bucket: the edge (10) overstates every
-    // sample, but the estimate never leaves the observed range, so
-    // the max clamp pulls the answer down to the observed max of 3.
-    Distribution d;
-    d.init({10, 100});
-    d.sample(3);
-    d.sample(3);
-    EXPECT_DOUBLE_EQ(d.percentile(50), 3.0);
-    EXPECT_DOUBLE_EQ(d.percentile(1), 3.0);
-    // Max clamp likewise: rank 1 lands in bucket (10..100] whose edge
-    // 100 exceeds the observed max 60, so the estimate is 60.
-    Distribution e;
-    e.init({10, 100});
-    e.sample(50);
-    e.sample(60);
-    EXPECT_DOUBLE_EQ(e.percentile(50), 60.0);
-}
-
-TEST(Stats, PercentileOverflowBucketReportsMax)
-{
-    Distribution d;
-    d.init({10});
-    d.sample(5);
-    d.sample(5000);
-    d.sample(6000);
-    // p100 and any rank landing in the overflow bucket give max, not
-    // an unbounded edge.
-    EXPECT_DOUBLE_EQ(d.percentile(100), 6000.0);
-    EXPECT_DOUBLE_EQ(d.percentile(99), 6000.0);
-    // rank ceil(0.33 * 3) = 1 stays in the first real bucket.
-    EXPECT_DOUBLE_EQ(d.percentile(33), 10.0);
-}
-
-TEST(Stats, PercentileUninitialisedDistribution)
-{
-    // Never init()ed: one overflow bucket, so every percentile is
-    // min/max-derived.
-    Distribution d;
-    d.sample(7);
-    d.sample(9);
-    EXPECT_DOUBLE_EQ(d.percentile(0), 7.0);
-    EXPECT_DOUBLE_EQ(d.percentile(50), 9.0);
-    EXPECT_DOUBLE_EQ(d.percentile(100), 9.0);
-}
-
-TEST(Stats, QuantilesDefaultSet)
-{
-    Distribution d;
-    d.init({10, 100, 1000});
-    for (std::uint64_t v = 1; v <= 100; ++v)
-        d.sample(v);
-    auto qs = d.quantiles();
-    ASSERT_EQ(qs.size(), 5u);
-    EXPECT_DOUBLE_EQ(qs[0].first, 50.0);
-    EXPECT_DOUBLE_EQ(qs[0].second, d.percentile(50));
-    EXPECT_DOUBLE_EQ(qs[4].first, 100.0);
-    EXPECT_DOUBLE_EQ(qs[4].second, 100.0);
-    auto custom = d.quantiles({25});
-    ASSERT_EQ(custom.size(), 1u);
-    EXPECT_DOUBLE_EQ(custom[0].second, d.percentile(25));
-}
-
 TEST(Stats, FormulaEvaluatesLazily)
 {
     StatGroup g("grp");
