@@ -1,28 +1,32 @@
 /**
  * @file
- * MultiCoreSystem: N cores over a MESI-coherent cache hierarchy.
+ * MultiCoreSystem: the one place a simulated machine is wired and run.
  *
- * The single-core System models the paper's evaluation machine; this
- * assembles the server-shaped variant (ROADMAP): every core gets a
- * private L1-I/L1-D pair — the L1-D is the REST-modified cache, so
- * token detection stays a per-L1 fill-path property — behind one
- * snooping CoherenceBus (mem/coherence.hh), over the shared L2 and
- * DRAM. Guest memory, the token config register, the REST engine and
- * the allocator are shared machine-wide: core B touching a granule
- * that core A's free() armed traps exactly like a local dangling
- * access, through the coherence transfer of the token-bearing line.
+ * It assembles guest memory, the token configuration register + REST
+ * engine, the DRAM/L2 hierarchy, the configured allocator, access
+ * policy and instrumentation, and per core a private L1-I/L1-D pair
+ * (the L1-D is the REST-modified cache, so token detection stays a
+ * per-L1 fill-path property), a functional emulator and a timing CPU
+ * (out-of-order or in-order) or the fast-functional driver.
  *
- * Each core runs its own guest program (its "thread": a server request
- * handler, an attack victim, ...) on its own functional emulator with
- * a disjoint stack slice. Execution interleaves the cores round-robin
- * in fixed op quanta on one host thread — the per-core pipeline clocks
- * (both timing models keep their commit clock across run() calls) and
- * the shared hierarchy make the interleaving deterministic: same seed,
- * same programs, same schedule, byte-identical results.
+ * The 1-core machine is the paper's evaluation machine; sim::System
+ * (sim/system.hh) is a thin facade over it. It attaches no bus, runs
+ * its program in a single unsliced call, and alone supports sampled
+ * execution and the per-run TraceSink.
  *
- * A 1-core machine attaches no bus and runs its program in a single
- * unsliced call: it is exactly the single-core System configuration
- * (tests/sim/multicore_test.cc holds the two equal cycle-for-cycle).
+ * With N > 1 cores, every L1-D snoops one MESI CoherenceBus
+ * (mem/coherence.hh) over the shared L2 and DRAM. Guest memory, the
+ * token config register, the REST engine and the allocator are shared
+ * machine-wide: core B touching a granule that core A's free() armed
+ * traps exactly like a local dangling access, through the coherence
+ * transfer of the token-bearing line. Each core runs its own guest
+ * program (its "thread": a server request handler, an attack victim,
+ * ...) on its own emulator with a disjoint stack slice. Execution
+ * interleaves the cores round-robin in fixed op quanta on one host
+ * thread — the per-core pipeline clocks (both timing models keep
+ * their commit clock across run() calls) and the shared hierarchy
+ * make the interleaving deterministic: same seed, same programs, same
+ * schedule, byte-identical results.
  */
 
 #ifndef REST_SIM_MULTICORE_HH
@@ -43,20 +47,55 @@
 #include "mem/rest_l1_cache.hh"
 #include "runtime/allocator.hh"
 #include "runtime/instrumentation.hh"
+#include "runtime/runtime_config.hh"
 #include "sim/emulator.hh"
 #include "sim/fast_functional.hh"
-#include "sim/system.hh"
+#include "sim/sampling.hh"
+#include "util/trace.hh"
 
 namespace rest::sim
 {
 
+/** Everything configurable about one single-core run; also the
+ *  per-core base of a MultiCoreConfig. */
+struct SystemConfig
+{
+    runtime::SchemeConfig scheme;
+    core::RestMode mode = core::RestMode::Secure;
+    core::TokenWidth tokenWidth = core::TokenWidth::Bytes64;
+    bool useInOrderCpu = false;
+
+    cpu::CpuConfig cpuConfig;
+    cpu::InOrderConfig inorderConfig;
+    mem::CacheConfig l1iConfig = mem::CacheConfig::l1i();
+    mem::CacheConfig l1dConfig = mem::CacheConfig::l1d();
+    mem::CacheConfig l2Config = mem::CacheConfig::l2();
+    mem::DramConfig dramConfig;
+
+    std::uint64_t maxOps = ~std::uint64_t(0);
+    std::uint64_t tokenSeed = 0xc0ffee;
+
+    /**
+     * Execution mode: detailed (default), fast-functional, or
+     * sampled (see sim/sampling.hh). The default takes exactly the
+     * historical all-detailed code path.
+     */
+    ExecutionConfig exec;
+
+    /**
+     * Tracing/metrics for this machine. Default-constructed
+     * (inactive) means no sink is created and run() costs nothing
+     * extra.
+     */
+    trace::TraceConfig trace;
+};
+
 /** Configuration of one multicore machine. */
 struct MultiCoreConfig
 {
-    /** Per-core machine + scheme configuration. Detailed and
-     *  fast-functional execution are supported; sampled execution is
-     *  not (base.exec.sampling must be inactive). `base.maxOps` caps
-     *  each core individually. */
+    /** Per-core machine + scheme configuration. Sampled execution
+     *  and per-run tracing need cores == 1. `base.maxOps` caps each
+     *  core individually. */
     SystemConfig base;
     /** Number of cores; must equal the number of programs. */
     unsigned cores = 1;
@@ -107,7 +146,7 @@ class MultiCoreSystem
      * @param programs one un-instrumented program per core (each is
      *        copied, then finalised for the configured scheme).
      * @param cfg machine configuration; cfg.cores must match
-     *        programs.size().
+     *        programs.size(). Invalid configs are rest_fatal.
      */
     MultiCoreSystem(std::vector<isa::Program> programs,
                     const MultiCoreConfig &cfg);
@@ -121,25 +160,48 @@ class MultiCoreSystem
     const core::TokenConfigRegister &tokenRegister() const
     { return tcr_; }
     runtime::Allocator &allocator() { return *allocator_; }
-    Emulator &emulator(unsigned core) { return *emulators_[core]; }
-    mem::RestL1Cache &dcache(unsigned core) { return *l1d_[core]; }
-    mem::Cache &icache(unsigned core) { return *l1i_[core]; }
+    Emulator &emulator(unsigned core = 0) { return *emulators_[core]; }
+    mem::RestL1Cache &dcache(unsigned core = 0) { return *l1d_[core]; }
+    mem::Cache &icache(unsigned core = 0) { return *l1i_[core]; }
     mem::Cache &l2cache() { return l2_; }
     mem::Dram &dram() { return dram_; }
     /** The snooping bus; nullptr on a 1-core machine. */
     mem::CoherenceBus *bus() { return bus_.get(); }
+    /** One core's program, finalised for the configured scheme. */
+    const isa::Program &program(unsigned core = 0) const
+    { return programs_[core]; }
     const MultiCoreConfig &config() const { return cfg_; }
 
     /** Timing/functional stats of one core's model. */
-    const stats::StatGroup &cpuStats(unsigned core) const;
+    const stats::StatGroup &
+    cpuStats(unsigned core = 0) const
+    {
+        return *statGroups_[3 * std::size_t(core)];
+    }
 
     /** Dump all component stats (per-core models + shared levels). */
     void dumpStats(std::ostream &os) const;
+
+    /** The per-run trace sink (nullptr when tracing is off). */
+    trace::TraceSink *traceSink() { return traceSink_.get(); }
+
+    /**
+     * Periodic stat snapshots from every component group, merged by
+     * cycle (all groups snapshot on the same statsTick boundaries).
+     * Empty unless cfg.base.trace.statsEvery was set.
+     */
+    std::vector<stats::StatSnapshot> statSnapshots() const;
+
+    /** The last sampled run's window/error breakdown. */
+    const SamplingEstimate &sampling() const { return sampling_; }
 
   private:
     /** Run up to 'ops' more ops on 'core'; fold into res.cores. */
     void runSlice(unsigned core, std::uint64_t ops,
                   MultiCoreResult &res);
+    /** The sampled-mode interleave on core 0: detailed O3 windows,
+     *  functional fast-forward between them. */
+    void runSampled(MultiCoreResult &res);
 
     MultiCoreConfig cfg_;
     mem::GuestMemory memory_;
@@ -160,6 +222,12 @@ class MultiCoreSystem
     std::vector<std::unique_ptr<cpu::O3Cpu>> o3_;
     std::vector<std::unique_ptr<cpu::InOrderCpu>> inorder_;
     std::vector<std::unique_ptr<FastFunctional>> fast_;
+    /** Every component stat group, in dumpStats() order: per core
+     *  its model (O3, in-order or functional), L1-I and L1-D; then
+     *  the L2, DRAM and, with N > 1 cores, the bus. */
+    std::vector<stats::StatGroup *> statGroups_;
+    std::unique_ptr<trace::TraceSink> traceSink_;
+    SamplingEstimate sampling_;
 };
 
 } // namespace rest::sim

@@ -1,68 +1,18 @@
 /**
  * @file
- * System: assembles one complete simulated machine — guest memory,
- * token configuration register + REST engine, DRAM/L2/L1 hierarchy
- * with the REST L1-D, the configured allocator and instrumentation,
- * the functional emulator, and a timing CPU (out-of-order or
- * in-order) — and runs a program on it.
+ * System: the paper's single-core evaluation machine. It is a 1-core
+ * MultiCoreSystem (sim/multicore.hh, the one place a machine is wired
+ * and run) that takes one program and reports the single-core
+ * SystemResult; the per-core accessors default to its only core.
  */
 
 #ifndef REST_SIM_SYSTEM_HH
 #define REST_SIM_SYSTEM_HH
 
-#include <memory>
-
-#include "core/rest_engine.hh"
-#include "core/token.hh"
-#include "cpu/inorder_cpu.hh"
-#include "cpu/o3_cpu.hh"
-#include "isa/program.hh"
-#include "mem/cache.hh"
-#include "mem/dram.hh"
-#include "mem/guest_memory.hh"
-#include "mem/rest_l1_cache.hh"
-#include "runtime/allocator.hh"
-#include "runtime/instrumentation.hh"
-#include "runtime/runtime_config.hh"
-#include "sim/emulator.hh"
-#include "sim/fast_functional.hh"
-#include "sim/sampling.hh"
-#include "util/trace.hh"
+#include "sim/multicore.hh"
 
 namespace rest::sim
 {
-
-/** Everything configurable about one run. */
-struct SystemConfig
-{
-    runtime::SchemeConfig scheme;
-    core::RestMode mode = core::RestMode::Secure;
-    core::TokenWidth tokenWidth = core::TokenWidth::Bytes64;
-    bool useInOrderCpu = false;
-
-    cpu::CpuConfig cpuConfig;
-    cpu::InOrderConfig inorderConfig;
-    mem::CacheConfig l1iConfig = mem::CacheConfig::l1i();
-    mem::CacheConfig l1dConfig = mem::CacheConfig::l1d();
-    mem::CacheConfig l2Config = mem::CacheConfig::l2();
-    mem::DramConfig dramConfig;
-
-    std::uint64_t maxOps = ~std::uint64_t(0);
-    std::uint64_t tokenSeed = 0xc0ffee;
-
-    /**
-     * Execution mode: detailed (default), fast-functional, or
-     * sampled (see sim/sampling.hh). The default takes exactly the
-     * historical all-detailed code path.
-     */
-    ExecutionConfig exec;
-
-    /**
-     * Tracing/metrics for this system. Default-constructed (inactive)
-     * means no sink is created and run() costs nothing extra.
-     */
-    trace::TraceConfig trace;
-};
 
 /** Outcome of a System::run(). */
 struct SystemResult
@@ -84,8 +34,8 @@ struct SystemResult
     Cycles cycles() const { return run.cycles; }
 };
 
-/** One simulated machine instance. */
-class System
+/** One simulated single-core machine. */
+class System : public MultiCoreSystem
 {
   public:
     /**
@@ -98,59 +48,8 @@ class System
     /** Run to completion / fault / op cap. */
     SystemResult run();
 
-    // Component access for tests, examples and benches.
-    mem::GuestMemory &memory() { return memory_; }
-    core::RestEngine &engine() { return engine_; }
-    const core::TokenConfigRegister &tokenRegister() const
-    { return tcr_; }
-    runtime::Allocator &allocator() { return *allocator_; }
-    Emulator &emulator() { return *emulator_; }
-    mem::RestL1Cache &dcache() { return l1d_; }
-    mem::Cache &icache() { return l1i_; }
-    mem::Cache &l2cache() { return l2_; }
-    const isa::Program &program() const { return program_; }
-    const SystemConfig &config() const { return cfg_; }
-
-    /** Timing-CPU stats (whichever model is active). */
-    const stats::StatGroup &cpuStats() const;
-
-    /** Dump all component stats. */
-    void dumpStats(std::ostream &os) const;
-
-    /** This system's private trace sink (nullptr when tracing off). */
-    trace::TraceSink *traceSink() { return traceSink_.get(); }
-
-    /**
-     * Periodic stat snapshots from every component group, merged by
-     * cycle (all groups snapshot on the same statsTick boundaries).
-     * Empty unless cfg.trace.statsEvery was set.
-     */
-    std::vector<stats::StatSnapshot> statSnapshots() const;
-
-  private:
-    /** The sampled-mode interleave loop (detailed windows on the O3
-     *  core, functional fast-forward between them). */
-    cpu::RunResult runSampledLoop(SamplingEstimate &est);
-
-    SystemConfig cfg_;
-    mem::GuestMemory memory_;
-    Xoshiro256ss rng_;
-    core::TokenConfigRegister tcr_;
-    core::RestEngine engine_;
-    mem::Dram dram_;
-    mem::Cache l2_;
-    mem::Cache l1i_;
-    mem::RestL1Cache l1d_;
-    std::unique_ptr<runtime::Allocator> allocator_;
-    /** Tag-check predicate for mte/pauth; owned by allocator_. */
-    const runtime::AccessPolicy *policy_ = nullptr;
-    isa::Program program_;
-    runtime::InstrumentationSummary instrumentation_;
-    std::unique_ptr<Emulator> emulator_;
-    std::unique_ptr<cpu::O3Cpu> o3_;
-    std::unique_ptr<cpu::InOrderCpu> inorder_;
-    std::unique_ptr<FastFunctional> fast_;
-    std::unique_ptr<trace::TraceSink> traceSink_;
+    const SystemConfig &config() const
+    { return MultiCoreSystem::config().base; }
 };
 
 } // namespace rest::sim
