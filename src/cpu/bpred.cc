@@ -25,9 +25,10 @@ mix(std::uint64_t x)
 } // namespace
 
 TagePredictor::TagePredictor()
-    : bimodal_(1u << bimodalBits, 0), histLens_(histSeries),
-      ghist_(1024, false)
+    : bimodal_(1u << bimodalBits, 0), histLens_(histSeries)
 {
+    static_assert(histSeries.back() < ghistLen,
+                  "the global history must hold the longest window");
     for (auto &table : tagged_)
         table.assign(1u << taggedBits, {});
     for (unsigned t = 0; t < numTagged; ++t) {
@@ -57,16 +58,15 @@ TagePredictor::Folded::push(bool new_bit, bool out_bit)
 void
 TagePredictor::pushHistory(bool bit)
 {
+    constexpr std::size_t ghistMask = ghistLen - 1;
     for (unsigned t = 0; t < numTagged; ++t) {
         // The bit falling out of this table's history window.
-        std::size_t out_pos = (ghistPos_ + ghist_.size() -
-                               histLens_[t]) % ghist_.size();
-        bool out_bit = ghist_[out_pos];
+        bool out_bit = ghist_[(ghistPos_ - histLens_[t]) & ghistMask];
         foldedIdx_[t].push(bit, out_bit);
         foldedTag_[t].push(bit, out_bit);
     }
-    ghist_[ghistPos_ % ghist_.size()] = bit;
-    ghistPos_ = (ghistPos_ + 1) % ghist_.size();
+    ghist_[ghistPos_] = bit;
+    ghistPos_ = (ghistPos_ + 1) & ghistMask;
 }
 
 unsigned

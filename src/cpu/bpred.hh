@@ -9,6 +9,7 @@
 #define REST_CPU_BPRED_HH
 
 #include <array>
+#include <bitset>
 #include <cstdint>
 #include <vector>
 
@@ -56,6 +57,10 @@ class TagePredictor
     static constexpr unsigned bimodalBits = 13;  // 8k entries
     static constexpr unsigned taggedBits = 10;   // 1k entries each
     static constexpr unsigned tagBits = 11;
+    /** Global-history buffer length: a power of two, indexed by mask. */
+    static constexpr std::size_t ghistLen = 1024;
+    static_assert((ghistLen & (ghistLen - 1)) == 0,
+                  "ghistLen must be a power of two");
 
     /**
      * Incrementally folded history register (a circular-shifted CRC
@@ -90,9 +95,9 @@ class TagePredictor
     std::array<unsigned, numTagged> histLens_;
     std::array<Folded, numTagged> foldedIdx_;
     std::array<Folded, numTagged> foldedTag_;
-    /** Global history as a shift register (bool per branch). */
-    std::vector<bool> ghist_;
-    std::uint64_t ghistPos_ = 0;
+    /** Global history as a circular buffer (bit per branch). */
+    std::bitset<ghistLen> ghist_;
+    std::size_t ghistPos_ = 0;
     std::uint8_t useAltOnNa_ = 8;
 };
 

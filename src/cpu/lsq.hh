@@ -21,9 +21,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "core/exceptions.hh"
+#include "util/logging.hh"
 #include "util/types.hh"
 
 namespace rest::cpu
@@ -59,15 +60,17 @@ class Lsq
         Cycles writeCompleteAt = 0;
     };
 
-    explicit Lsq(unsigned sq_entries = 32) : sqEntries_(sq_entries) {}
+    explicit Lsq(unsigned sq_entries = 32)
+        : sqEntries_(sq_entries), ring_(sq_entries + 1)
+    {}
 
     /** Drop entries whose writes completed before 'now'. */
     void
     prune(Cycles now)
     {
-        while (!entries_.empty() &&
-               entries_.front().writeCompleteAt <= now) {
-            entries_.pop_front();
+        while (count_ != 0 && ring_[head_].writeCompleteAt <= now) {
+            head_ = wrap(head_ + 1);
+            --count_;
         }
     }
 
@@ -79,32 +82,33 @@ class Lsq
     checkLoad(std::uint64_t load_seq, Addr addr, unsigned size) const
     {
         LoadLsqCheck res;
-        for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-            if (it->seq >= load_seq)
+        for (std::size_t i = count_; i-- != 0;) {
+            const StoreEntry &e = at(i);
+            if (e.seq >= load_seq)
                 continue;
-            if (!overlaps(addr, size, it->addr, it->size))
+            if (!overlaps(addr, size, e.addr, e.size))
                 continue;
-            if (it->isArm) {
+            if (e.isArm) {
                 // The load would "hit" the in-flight arm: the match
                 // logic detects the line-address + offset match and
                 // raises instead of forwarding the secret.
                 res.violation = core::ViolationKind::TokenForward;
                 return res;
             }
-            if (it->isDisarm) {
+            if (e.isDisarm) {
                 // Disarm zeroes its granule; the value (zero) is
                 // implicit, but the entry carries no data to forward,
                 // so the load waits for the write to reach the cache.
                 res.mustWaitUntil =
-                    std::max(res.mustWaitUntil, it->writeCompleteAt);
+                    std::max(res.mustWaitUntil, e.writeCompleteAt);
                 return res;
             }
-            if (covers(it->addr, it->size, addr, size)) {
+            if (covers(e.addr, e.size, addr, size)) {
                 res.forwarded = true;
             } else {
                 // Partial overlap: not forwardable.
                 res.mustWaitUntil =
-                    std::max(res.mustWaitUntil, it->writeCompleteAt);
+                    std::max(res.mustWaitUntil, e.writeCompleteAt);
             }
             return res; // youngest matching entry decides
         }
@@ -120,7 +124,8 @@ class Lsq
     checkInsert(Addr addr, unsigned size, bool is_arm,
                 bool is_disarm) const
     {
-        for (const auto &e : entries_) {
+        for (std::size_t i = 0; i != count_; ++i) {
+            const StoreEntry &e = at(i);
             if (!overlaps(addr, size, e.addr, e.size))
                 continue;
             if (is_disarm && e.isDisarm)
@@ -140,29 +145,35 @@ class Lsq
     void
     insert(StoreEntry entry)
     {
-        if (!entries_.empty()) {
+        rest_assert(count_ < ring_.size(), "store queue overflow");
+        if (count_ != 0) {
             entry.writeCompleteAt = std::max(
-                entry.writeCompleteAt,
-                entries_.back().writeCompleteAt);
+                entry.writeCompleteAt, at(count_ - 1).writeCompleteAt);
         }
-        entries_.push_back(entry);
+        ring_[wrap(head_ + count_)] = entry;
+        ++count_;
     }
 
     /** Number of in-flight entries. */
-    std::size_t occupancy() const { return entries_.size(); }
+    std::size_t occupancy() const { return count_; }
 
     /** Is the SQ structurally full? */
-    bool full() const { return entries_.size() >= sqEntries_; }
+    bool full() const { return count_ >= sqEntries_; }
 
     /** First cycle at which an entry will free (valid when full()). */
     Cycles
     earliestFree() const
     {
         // In-order drain: the oldest entry frees first.
-        return entries_.empty() ? 0 : entries_.front().writeCompleteAt;
+        return count_ == 0 ? 0 : ring_[head_].writeCompleteAt;
     }
 
-    void clear() { entries_.clear(); }
+    void
+    clear()
+    {
+        head_ = 0;
+        count_ = 0;
+    }
 
   private:
     static bool
@@ -178,8 +189,29 @@ class Lsq
         return a1 <= a2 && a2 + s2 <= a1 + s1;
     }
 
+    /** Ring position 'i' (< 2 * ring size) folded into the ring. */
+    std::size_t
+    wrap(std::size_t i) const
+    {
+        return i >= ring_.size() ? i - ring_.size() : i;
+    }
+
+    /** The i-th oldest in-flight entry. */
+    const StoreEntry &
+    at(std::size_t i) const
+    {
+        return ring_[wrap(head_ + i)];
+    }
+
     unsigned sqEntries_;
-    std::deque<StoreEntry> entries_;
+    /**
+     * Fixed ring of in-flight entries, oldest at head_. The core
+     * inserts only once full() has cleared; the spare slot covers a
+     * zero-entry SQ, which is always full.
+     */
+    std::vector<StoreEntry> ring_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
 };
 
 } // namespace rest::cpu

@@ -9,6 +9,42 @@
 namespace rest::cpu
 {
 
+namespace
+{
+
+/**
+ * Replace the top of the min-heap 'heap' with 'value' by one
+ * sift-down. The IQ calls it with a value never below the old top (an
+ * op issues after it dispatches), so the heap keeps the multiset an
+ * overwrite of the minimum slot would.
+ */
+void
+replaceHeapTop(std::vector<Cycles> &heap, Cycles value)
+{
+    const std::size_t size = heap.size();
+    std::size_t hole = 0;
+    for (;;) {
+        std::size_t child = 2 * hole + 1;
+        if (child + 1 >= size) {
+            // At most one child: the last internal node.
+            if (child < size && heap[child] < value) {
+                heap[hole] = heap[child];
+                hole = child;
+            }
+            break;
+        }
+        // Branch-free pick of the smaller child.
+        child += heap[child + 1] < heap[child];
+        if (heap[child] >= value)
+            break;
+        heap[hole] = heap[child];
+        hole = child;
+    }
+    heap[hole] = value;
+}
+
+} // namespace
+
 O3Cpu::O3Cpu(const CpuConfig &cfg, core::RestMode mode,
              mem::Cache &icache, mem::RestL1Cache &dcache)
     : cfg_(cfg), mode_(mode), icache_(icache), dcache_(dcache),
@@ -146,7 +182,11 @@ O3Cpu::run(isa::TraceSource &src, std::uint64_t max_ops)
 
     std::uint64_t n = 0;          // dynamic index
     serializeUntil_ = false;
-    std::uint64_t n_loads = 0;    // loads seen (LQ ring index)
+    // ROB and LQ ring slots: like n, they restart at 0 on every call.
+    std::size_t rob_slot = 0;
+    std::size_t lq_slot = 0;
+    const std::size_t rob_entries = robFreeAt_.size();
+    const std::size_t lq_entries = lqFreeAt_.size();
     Cycles redirect_at = 0;       // earliest fetch after a mispredict
     const bool debug_mode = mode_ == core::RestMode::Debug;
     const bool delay_stores = debug_mode || cfg_.delayStoreCommit;
@@ -201,7 +241,7 @@ O3Cpu::run(isa::TraceSource &src, std::uint64_t max_ops)
             serializeUntil_ = true;
         }
 
-        Cycles rob_free = robFreeAt_[n % cfg_.robEntries];
+        Cycles rob_free = robFreeAt_[rob_slot];
         if (rob_free > dispatch) {
             robStallCycles_ += rob_free - dispatch;
             if (ts && ts->flagOn(trace::Flag::O3Pipe, dispatch)) {
@@ -212,22 +252,19 @@ O3Cpu::run(isa::TraceSource &src, std::uint64_t max_ops)
             dispatch = rob_free;
         }
         // IQ slots free out of order (any issued entry releases its
-        // slot): take the earliest-freeing one.
-        auto iq_slot = std::min_element(iqFreeAt_.begin(),
-                                        iqFreeAt_.end());
-        if (*iq_slot > dispatch) {
-            iqFullStallCycles_ += *iq_slot - dispatch;
+        // slot): take the earliest-freeing one, the min-heap's top.
+        const Cycles iq_free = iqFreeAt_.front();
+        if (iq_free > dispatch) {
+            iqFullStallCycles_ += iq_free - dispatch;
             if (ts && ts->flagOn(trace::Flag::O3Pipe, dispatch)) {
                 ts->complete(trace::Flag::O3Pipe, pipe_track,
-                             "iq_full_stall", dispatch, *iq_slot,
+                             "iq_full_stall", dispatch, iq_free,
                              "seq", n);
             }
-            dispatch = *iq_slot;
+            dispatch = iq_free;
         }
-        if (op.isLoad()) {
-            Cycles lq_free = lqFreeAt_[n_loads % cfg_.lqEntries];
-            dispatch = std::max(dispatch, lq_free);
-        }
+        if (op.isLoad())
+            dispatch = std::max(dispatch, lqFreeAt_[lq_slot]);
         if (op.isStoreLike()) {
             lsq_.prune(dispatch);
             if (lsq_.full()) {
@@ -283,7 +320,7 @@ O3Cpu::run(isa::TraceSource &src, std::uint64_t max_ops)
         Cycles issue = claimIssueSlot(ready, pool_idx, fu_busy);
 
         // IQ entry occupied from dispatch until issue.
-        *iq_slot = issue + 1;
+        replaceHeapTop(iqFreeAt_, issue + 1);
         REST_DPRINTF(trace::Flag::O3Pipe, fetch_cycle, "o3cpu",
                      "seq=", n, " ", isa::mnemonic(op.op),
                      " fetch=", fetch_cycle, " dispatch=", dispatch,
@@ -401,9 +438,14 @@ O3Cpu::run(isa::TraceSource &src, std::uint64_t max_ops)
         if (op.rd != isa::noReg && op.rd != isa::regZero)
             regReadyAt_[op.rd] = complete;
 
-        robFreeAt_[n % cfg_.robEntries] = commit;
-        if (op.isLoad())
-            lqFreeAt_[n_loads++ % cfg_.lqEntries] = commit;
+        robFreeAt_[rob_slot] = commit;
+        if (++rob_slot == rob_entries)
+            rob_slot = 0;
+        if (op.isLoad()) {
+            lqFreeAt_[lq_slot] = commit;
+            if (++lq_slot == lq_entries)
+                lq_slot = 0;
+        }
 
         if (mispredicted) {
             ++branchMispredicts_;

@@ -101,8 +101,11 @@ class O3Cpu
     unsigned fetchedThisCycle_ = 0;
     Addr lastFetchLine_ = invalidAddr;
 
-    // Structural occupancy rings: slot i holds the cycle at which the
-    // previous occupant of that slot releases it.
+    // Structural occupancy rings (ROB, LQ): slot i holds the cycle at
+    // which the previous occupant of that slot releases it. The IQ
+    // frees out of order, so only the multiset of its release cycles
+    // matters: it is a min-heap whose top is the earliest-freeing
+    // slot. All-zero is a valid heap.
     std::vector<Cycles> robFreeAt_;
     std::vector<Cycles> iqFreeAt_;
     std::vector<Cycles> lqFreeAt_;

@@ -38,6 +38,7 @@ Cache::Cache(const CacheConfig &cfg, MemoryDevice &below)
                                         "cycles stalled on full MSHRs"))
 {
     rest_assert(isPowerOfTwo(blockSize_), "block size must be pow2");
+    blockShift_ = floorLog2(blockSize_);
     rest_assert(cfg.sizeBytes % (blockSize_ * cfg.assoc) == 0,
                 "cache geometry does not divide evenly");
     numSets_ = cfg.sizeBytes / (blockSize_ * cfg.assoc);
@@ -48,7 +49,7 @@ Cache::Cache(const CacheConfig &cfg, MemoryDevice &below)
 unsigned
 Cache::setIndex(Addr addr) const
 {
-    return (addr / blockSize_) & (numSets_ - 1);
+    return (addr >> blockShift_) & (numSets_ - 1);
 }
 
 Cache::Line *

@@ -189,6 +189,8 @@ class Cache : public MemoryDevice
     MemoryDevice &below_;
     CoherenceBus *bus_ = nullptr;
     unsigned blockSize_;
+    /** log2(blockSize_): setIndex shifts instead of dividing. */
+    unsigned blockShift_;
     unsigned numSets_;
     std::vector<std::vector<Line>> sets_;
     std::uint64_t useCounter_ = 0;

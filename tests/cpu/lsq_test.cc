@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "cpu/lsq.hh"
+#include "util/random.hh"
 
 namespace rest::cpu
 {
@@ -19,6 +22,140 @@ entry(std::uint64_t seq, Addr addr, unsigned size, bool arm = false,
       bool disarm = false, Cycles done = 1000)
 {
     return {seq, addr, size, arm, disarm, done};
+}
+
+/** Unbounded std::deque store queue: the reference the ring must match. */
+struct RefLsq
+{
+    std::deque<Lsq::StoreEntry> q;
+
+    static bool
+    overlaps(Addr a1, unsigned s1, Addr a2, unsigned s2)
+    {
+        return a1 < a2 + s2 && a2 < a1 + s1;
+    }
+
+    void
+    prune(Cycles now)
+    {
+        while (!q.empty() && q.front().writeCompleteAt <= now)
+            q.pop_front();
+    }
+
+    LoadLsqCheck
+    checkLoad(std::uint64_t load_seq, Addr addr, unsigned size) const
+    {
+        LoadLsqCheck res;
+        for (auto it = q.rbegin(); it != q.rend(); ++it) {
+            if (it->seq >= load_seq ||
+                !overlaps(addr, size, it->addr, it->size)) {
+                continue;
+            }
+            if (it->isArm) {
+                res.violation = core::ViolationKind::TokenForward;
+            } else if (!it->isDisarm && it->addr <= addr &&
+                       addr + size <= it->addr + it->size) {
+                res.forwarded = true;
+            } else {
+                res.mustWaitUntil = it->writeCompleteAt;
+            }
+            return res;
+        }
+        return res;
+    }
+
+    core::ViolationKind
+    checkInsert(Addr addr, unsigned size, bool is_arm,
+                bool is_disarm) const
+    {
+        for (const auto &e : q) {
+            if (!overlaps(addr, size, e.addr, e.size))
+                continue;
+            if (is_disarm && e.isDisarm)
+                return core::ViolationKind::DisarmUnarmed;
+            if (!is_arm && !is_disarm && e.isArm)
+                return core::ViolationKind::TokenForward;
+        }
+        return core::ViolationKind::None;
+    }
+
+    void
+    insert(Lsq::StoreEntry e)
+    {
+        if (!q.empty()) {
+            e.writeCompleteAt =
+                std::max(e.writeCompleteAt, q.back().writeCompleteAt);
+        }
+        q.push_back(e);
+    }
+
+    Cycles
+    earliestFree() const
+    {
+        return q.empty() ? 0 : q.front().writeCompleteAt;
+    }
+};
+
+/**
+ * Drive an Lsq(sq_entries) and the reference with one seeded random
+ * call sequence; every result must agree.
+ */
+void
+checkAgainstReference(unsigned sq_entries, std::uint64_t seed)
+{
+    Xoshiro256ss rng(seed);
+    Lsq lsq(sq_entries);
+    RefLsq ref;
+    Cycles now = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t inserted = 0;
+    for (unsigned step = 0; step < 20000; ++step) {
+        // A handful of granules so that entries overlap often.
+        Addr addr = 0x1000 + 8 * rng.below(24);
+        unsigned size = 1u << rng.below(5);
+        bool arm = rng.chance(0.1);
+        bool disarm = !arm && rng.chance(0.1);
+        if (arm || disarm) {
+            addr &= ~Addr(63);
+            size = 64;
+        }
+        switch (rng.below(4)) {
+          case 0:
+            now += rng.below(8);
+            lsq.prune(now);
+            ref.prune(now);
+            break;
+          case 1: {
+            std::uint64_t load_seq = seq - rng.below(4);
+            LoadLsqCheck got = lsq.checkLoad(load_seq, addr, size);
+            LoadLsqCheck want = ref.checkLoad(load_seq, addr, size);
+            ASSERT_EQ(got.forwarded, want.forwarded) << step;
+            ASSERT_EQ(got.mustWaitUntil, want.mustWaitUntil) << step;
+            ASSERT_EQ(got.violation, want.violation) << step;
+            break;
+          }
+          case 2:
+            ASSERT_EQ(lsq.checkInsert(addr, size, arm, disarm),
+                      ref.checkInsert(addr, size, arm, disarm))
+                << step;
+            break;
+          default:
+            if (ref.q.size() < sq_entries) {
+                Lsq::StoreEntry e = entry(seq, addr, size, arm, disarm,
+                                          now + rng.below(40));
+                lsq.insert(e);
+                ref.insert(e);
+                ++inserted;
+            }
+            ++seq;
+            break;
+        }
+        ASSERT_EQ(lsq.occupancy(), ref.q.size()) << step;
+        ASSERT_EQ(lsq.full(), ref.q.size() >= sq_entries) << step;
+        ASSERT_EQ(lsq.earliestFree(), ref.earliestFree()) << step;
+    }
+    // Many laps of the ring, not one fill.
+    EXPECT_GT(inserted, 50u * (sq_entries + 1));
 }
 
 } // namespace
@@ -177,6 +314,12 @@ TEST(Lsq, FullAndCapacity)
     EXPECT_EQ(lsq.earliestFree(), 1000u);
     lsq.prune(1000);
     EXPECT_FALSE(lsq.full());
+}
+
+TEST(Lsq, RingWrapMatchesReference)
+{
+    checkAgainstReference(4, 1);
+    checkAgainstReference(32, 2);
 }
 
 } // namespace rest::cpu

@@ -198,6 +198,36 @@ TEST(O3Cpu, OpsBySourceAttribution)
     EXPECT_EQ(r.opsBySource[unsigned(isa::OpSource::AccessCheck)], 1u);
 }
 
+TEST(O3Cpu, IqPicksEarliestFreeingSlot)
+{
+    // Chained divides, each followed by ops that wait on it and
+    // independent ops that issue at once: the IQ fills, and its slots
+    // free at widely spread cycles. The stall count pins which slot
+    // each dispatch takes (the earliest-freeing one).
+    OpStream s;
+    for (unsigned i = 0; i < 512; ++i)
+        s.alu(static_cast<isa::RegId>(1 + i % 8)); // warm the I-cache
+    for (unsigned d = 0; d < 8; ++d) {
+        isa::DynOp &div = s.alu(10, 10);
+        div.op = isa::Opcode::Div;
+        div.cls = isa::OpClass::IntDiv;
+        for (unsigned i = 0; i < 48; ++i) {
+            auto rd = static_cast<isa::RegId>(1 + i % 8);
+            if (i % 3 == 2)
+                s.alu(rd);
+            else
+                s.alu(rd, 10);
+        }
+    }
+    MemSystem ms;
+    O3Cpu cpu({}, core::RestMode::Secure, *ms.l1i, *ms.l1d);
+    VectorTrace trace(s.ops);
+    RunResult r = cpu.run(trace);
+    EXPECT_EQ(r.committedOps, s.ops.size());
+    EXPECT_EQ(r.cycles, 2271u);
+    EXPECT_EQ(cpu.statGroup().scalarValue("iq_full_stall_cycles"), 794u);
+}
+
 TEST(O3Cpu, MaxOpsCapRespected)
 {
     OpStream s;
